@@ -42,9 +42,8 @@ func (o *BatchOptions) cacheSize() int {
 // batchState lazily holds the leaf caches a DB (or order-k index)
 // reuses across batch calls: per shard, one over UV-index grid leaves,
 // plus a single cache over the shared helper R-tree's leaves. Grid
-// caches are per-shard because each is generation-invalidated against
-// ONE index's mutation counter; with a shared cache, shards mutating at
-// different rates would flush each other's entries.
+// caches are per-shard so one shard's hot leaves cannot evict
+// another's.
 type batchState struct {
 	mu     sync.Mutex
 	caches []*core.LeafCache
@@ -100,22 +99,6 @@ func (s *batchState) cachesGridFor(size, shards int) []*core.LeafCache {
 func (s *batchState) cacheRTreeFor(size, shards int) *rtree.LeafCache {
 	_, rt := s.cachesFor(size, shards)
 	return rt
-}
-
-// LeafCacheStats aggregates the hit/miss counters of the DB's
-// persistent per-shard grid leaf caches — the batch (and bulk-advance)
-// fast-path economy signal the metrics layer exposes. All zeros until a
-// batch has run with BatchOptions.CacheSize > 0; counters restart when
-// the caches are rebuilt (cache-size or shard-count change).
-func (db *DB) LeafCacheStats() (hits, misses int64) {
-	db.batch.mu.Lock()
-	defer db.batch.mu.Unlock()
-	for _, c := range db.batch.caches {
-		h, m := c.Stats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
 }
 
 // BufferPoolStats is the serving-side memory economy snapshot: the
@@ -377,7 +360,7 @@ func (db *DB) BatchNN(qs []Point, opts *BatchOptions) ([][]Answer, error) {
 	err = runBatch(len(qs), opts.workers(), order, func(i int) error {
 		si := owner[i]
 		sc := db.batch.getScratch()
-		answers, _, err := rt.eps[si].index.PNNWith(qs[i], cacheAt(caches, si), sc)
+		answers, _, err := rt.eps[si].index.PNN(qs[i], cacheAt(caches, si), sc)
 		db.batch.putScratch(sc)
 		out[i] = answers
 		return err
@@ -403,7 +386,7 @@ func (db *DB) BatchTopKPNN(qs []Point, k int, opts *BatchOptions) ([][]Answer, e
 	err = runBatch(len(qs), opts.workers(), order, func(i int) error {
 		si := owner[i]
 		sc := db.batch.getScratch()
-		answers, _, err := rt.eps[si].index.PNNWith(qs[i], cacheAt(caches, si), sc)
+		answers, _, err := rt.eps[si].index.PNN(qs[i], cacheAt(caches, si), sc)
 		db.batch.putScratch(sc)
 		if err != nil {
 			return err
@@ -434,7 +417,7 @@ func (db *DB) BatchThresholdNN(qs []Point, tau float64, opts *BatchOptions) ([][
 	err = runBatch(len(qs), opts.workers(), order, func(i int) error {
 		si := owner[i]
 		sc := db.batch.getScratch()
-		answers, _, err := rt.eps[si].index.PNNWith(qs[i], cacheAt(caches, si), sc)
+		answers, _, err := rt.eps[si].index.PNN(qs[i], cacheAt(caches, si), sc)
 		db.batch.putScratch(sc)
 		if err != nil {
 			return err
@@ -486,7 +469,7 @@ func (ix *OrderKIndex) BatchPossibleKNN(qs []Point, opts *BatchOptions) ([][]int
 	cache := cacheAt(ix.batch.cachesGridFor(opts.cacheSize(), 1), 0)
 	out := make([][]int32, len(qs))
 	err := runBatch(len(qs), opts.workers(), nil, func(i int) error {
-		ids, _, err := ix.inner.PossibleKNNCached(qs[i], cache)
+		ids, _, err := ix.inner.PossibleKNN(qs[i], cache)
 		out[i] = ids
 		return err
 	})

@@ -44,7 +44,7 @@ func (db *DB) NewContinuousPNN(q Point) (*ContinuousPNN, error) {
 	lo := db.lo()
 	si := lo.shardIdx(q)
 	ep := lo.epAt(si)
-	sess, err := ep.index.NewContinuousPNN(q)
+	sess, err := ep.index.NewContinuousPNN(q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func (c *ContinuousPNN) Revalidate() ([]int32, bool, error) {
 // work nor leaves the session bound to a dead epoch forever.
 func (c *ContinuousPNN) advance(lo *shardLayout, si int, ep *indexEpoch, q Point, cache *core.LeafCache, move bool) ([]int32, bool, error) {
 	if lo != c.lo || si != c.si || ep.gen != c.ep.gen {
-		sess, err := ep.index.NewContinuousPNNCached(q, cache)
+		sess, err := ep.index.NewContinuousPNN(q, cache)
 		if err != nil {
 			return nil, true, err
 		}
@@ -111,7 +111,7 @@ func (c *ContinuousPNN) advance(lo *shardLayout, si int, ep *indexEpoch, q Point
 		return sess.AnswerIDs(), true, nil
 	}
 	if move {
-		return c.sess.MoveCached(q, cache)
+		return c.sess.Move(q, cache)
 	}
 	return c.sess.RevalidateCached(cache)
 }

@@ -44,16 +44,11 @@ type ContinuousStats struct {
 	IndexIOs   int64 // leaf pages read across recomputations
 }
 
-// NewContinuousPNN opens a session at the starting point q.
-func (ix *UVIndex) NewContinuousPNN(q geom.Point) (*ContinuousPNN, error) {
-	return ix.NewContinuousPNNCached(q, nil)
-}
-
-// NewContinuousPNNCached opens a session whose initial evaluation reads
-// its leaf through cache (nil for direct page reads) — the bulk
-// session-advance path shares one decoded leaf across every session
-// landing in it.
-func (ix *UVIndex) NewContinuousPNNCached(q geom.Point, cache *LeafCache) (*ContinuousPNN, error) {
+// NewContinuousPNN opens a session at the starting point q. Its initial
+// evaluation reads the leaf through cache (nil for direct page reads) —
+// the bulk session-advance path shares one decoded leaf across every
+// session landing in it.
+func (ix *UVIndex) NewContinuousPNN(q geom.Point, cache *LeafCache) (*ContinuousPNN, error) {
 	c := &ContinuousPNN{ix: ix}
 	if err := c.recompute(q, cache); err != nil {
 		return nil, err
@@ -67,14 +62,9 @@ func (ix *UVIndex) NewContinuousPNNCached(q geom.Point, cache *LeafCache) (*Cont
 // The safe circle is only valid against the index state it was computed
 // at: an insert can shrink, and a delete can grow, an answer set inside
 // the circle. Move therefore re-evaluates whenever the index's mutation
-// generation has advanced since the last recompute.
-func (c *ContinuousPNN) Move(q geom.Point) ([]int32, bool, error) {
-	return c.MoveCached(q, nil)
-}
-
-// MoveCached is Move with a leaf cache for any re-evaluation it needs
-// (nil for direct page reads).
-func (c *ContinuousPNN) MoveCached(q geom.Point, cache *LeafCache) ([]int32, bool, error) {
+// generation has advanced since the last recompute. Any re-evaluation
+// reads its leaf through cache (nil for direct page reads).
+func (c *ContinuousPNN) Move(q geom.Point, cache *LeafCache) ([]int32, bool, error) {
 	if c.safe.R > 0 && c.safe.C.Dist(q) < c.safe.R && c.gen == c.ix.gen.Load() {
 		c.q = q
 		c.st.Moves++
@@ -137,7 +127,7 @@ func (c *ContinuousPNN) recompute(q geom.Point, cache *LeafCache) error {
 		n = n.children[k]
 		region = region.Quadrant(k)
 	}
-	tuples, ok := cache.get(ix, n)
+	tuples, ok := cache.get(n)
 	var ios int64
 	if !ok {
 		var err error
@@ -145,7 +135,7 @@ func (c *ContinuousPNN) recompute(q geom.Point, cache *LeafCache) error {
 		if err != nil {
 			return err
 		}
-		cache.put(ix, n, tuples)
+		cache.put(n, tuples)
 	}
 	if len(tuples) == 0 {
 		return fmt.Errorf("core: empty leaf at %v", q)

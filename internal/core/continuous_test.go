@@ -78,7 +78,7 @@ func TestContinuousRandomWalkMatchesBruteForce(t *testing.T) {
 	ix, objs := buildContinuousIndex(t, 120, 21)
 	rng := rand.New(rand.NewSource(5))
 	q := geom.Pt(500, 500)
-	sess, err := ix.NewContinuousPNN(q)
+	sess, err := ix.NewContinuousPNN(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestContinuousRandomWalkMatchesBruteForce(t *testing.T) {
 			clampTest(q.X+rng.NormFloat64()*3, 1, 999),
 			clampTest(q.Y+rng.NormFloat64()*3, 1, 999),
 		)
-		ids, re, err := sess.Move(q)
+		ids, re, err := sess.Move(q, nil)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -118,7 +118,7 @@ func TestContinuousSafeRegionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 25; trial++ {
 		q := geom.Pt(50+rng.Float64()*900, 50+rng.Float64()*900)
-		sess, err := ix.NewContinuousPNN(q)
+		sess, err := ix.NewContinuousPNN(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,14 +146,14 @@ func TestContinuousSafeRegionProperty(t *testing.T) {
 
 func TestContinuousOutsideDomainFails(t *testing.T) {
 	ix, _ := buildContinuousIndex(t, 20, 44)
-	if _, err := ix.NewContinuousPNN(geom.Pt(-5, -5)); err == nil {
+	if _, err := ix.NewContinuousPNN(geom.Pt(-5, -5), nil); err == nil {
 		t.Fatal("session outside domain should fail")
 	}
-	sess, err := ix.NewContinuousPNN(geom.Pt(500, 500))
+	sess, err := ix.NewContinuousPNN(geom.Pt(500, 500), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.Move(geom.Pt(2000, 2000)); err == nil {
+	if _, _, err := sess.Move(geom.Pt(2000, 2000), nil); err == nil {
 		t.Fatal("move outside domain should fail")
 	}
 }
@@ -163,11 +163,11 @@ func TestContinuousAnswersMatchPNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 40; trial++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		sess, err := ix.NewContinuousPNN(q)
+		sess, err := ix.NewContinuousPNN(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		answers, _, err := ix.PNN(q)
+		answers, _, err := ix.PNN(q, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

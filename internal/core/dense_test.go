@@ -36,7 +36,7 @@ func TestDensePNNCorrectness(t *testing.T) {
 	}
 	for k := 0; k < 100; k++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		answers, _, err := ix.PNN(q)
+		answers, _, err := ix.PNN(q, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestAllOverlapping(t *testing.T) {
 	}
 	for k := 0; k < 30; k++ {
 		q := geom.Pt(rng.Float64()*100, rng.Float64()*100)
-		answers, _, err := ix.PNN(q)
+		answers, _, err := ix.PNN(q, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

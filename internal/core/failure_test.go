@@ -32,7 +32,7 @@ func TestPNNCorruptLeafPage(t *testing.T) {
 	}
 	ix.pg.Write(n.pages[0], []byte{0xff, 0xff}) // count = 65535, no payload
 
-	_, _, err := ix.PNN(q)
+	_, _, err := ix.PNN(q, nil, nil)
 	if err == nil {
 		t.Fatal("PNN on corrupted page succeeded")
 	}
@@ -60,7 +60,7 @@ func TestPNNCorruptObjectPage(t *testing.T) {
 	for id := int32(0); int(id) < st.Len(); id++ {
 		st.Pager().Write(st.PageOf(id), []byte{1, 2, 3})
 	}
-	if _, _, err := ix.PNN(geom.Pt(500, 500)); err == nil {
+	if _, _, err := ix.PNN(geom.Pt(500, 500), nil, nil); err == nil {
 		t.Fatal("PNN with corrupted object store succeeded")
 	}
 }

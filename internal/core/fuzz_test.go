@@ -39,7 +39,7 @@ func FuzzLoadUVIndex(f *testing.F) {
 		}
 		// A successfully loaded index must answer queries without
 		// panicking.
-		if _, _, err := loaded.PNN(geom.Pt(250, 250)); err != nil {
+		if _, _, err := loaded.PNN(geom.Pt(250, 250), nil, nil); err != nil {
 			t.Logf("query on loaded index: %v", err)
 		}
 	})

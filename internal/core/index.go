@@ -315,26 +315,13 @@ type QueryScratch struct {
 // descend to the leaf containing q, read its page list, filter with the
 // dminmax bound of [14], fetch the survivors' uncertainty information
 // and compute qualification probabilities by numerical integration.
-func (ix *UVIndex) PNN(q geom.Point) ([]Answer, QueryStats, error) {
-	return ix.pnn(q, nil, nil)
-}
-
-// PNNCached is PNN with an optional leaf-tuple cache: on a cache hit the
-// leaf page list is not re-read or re-decoded (IndexIOs stays 0 for the
-// query). Answers are identical to PNN. A nil cache degrades to PNN.
-func (ix *UVIndex) PNNCached(q geom.Point, cache *LeafCache) ([]Answer, QueryStats, error) {
-	return ix.pnn(q, cache, nil)
-}
-
-// PNNWith is PNN with both an optional leaf-tuple cache and an optional
-// query scratch — the batch engine's hot path. Answers are bitwise
-// identical whatever combination is passed; nil arguments degrade to
-// the allocating paths.
-func (ix *UVIndex) PNNWith(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answer, QueryStats, error) {
-	return ix.pnn(q, cache, sc)
-}
-
-func (ix *UVIndex) pnn(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answer, QueryStats, error) {
+//
+// cache (a leaf-tuple cache) and sc (query scratch, the batch engine's
+// hot path) are optional: on a cache hit the leaf page list is not
+// re-read or re-decoded (IndexIOs stays 0 for the query). Answers are
+// bitwise identical whatever combination is passed; nil arguments
+// degrade to the allocating, uncached path.
+func (ix *UVIndex) PNN(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answer, QueryStats, error) {
 	var st QueryStats
 	if !ix.finished {
 		return nil, st, fmt.Errorf("core: PNN before Finish")
@@ -358,7 +345,7 @@ func (ix *UVIndex) pnn(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answ
 	n, depth := ix.descend(q)
 	st.Depth = depth
 	var tuples []pager.LeafTuple
-	if cached, ok := cache.get(ix, n); ok {
+	if cached, ok := cache.get(n); ok {
 		tuples = cached
 	} else {
 		var err error
@@ -368,7 +355,7 @@ func (ix *UVIndex) pnn(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answ
 			return nil, st, err
 		}
 		st.IndexIOs += ios
-		cache.put(ix, n, tuples)
+		cache.put(n, tuples)
 	}
 	st.LeafEntries = len(tuples)
 

@@ -46,7 +46,7 @@ func TestPNNMatchesBruteForce(t *testing.T) {
 		ix, _ := buildIndex(t, objs, domain, strategy)
 		for k := 0; k < 60; k++ {
 			q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-			answers, _, err := ix.PNN(q)
+			answers, _, err := ix.PNN(q, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +226,7 @@ func TestMemoryBudget(t *testing.T) {
 	}
 	// Queries still work.
 	q := geom.Pt(500, 500)
-	answers, _, err := ix.PNN(q)
+	answers, _, err := ix.PNN(q, nil, nil)
 	if err != nil || len(answers) == 0 {
 		t.Fatalf("PNN after M=1 build: %v %v", answers, err)
 	}
@@ -237,12 +237,12 @@ func TestPNNErrors(t *testing.T) {
 	domain := geom.Square(1000)
 	objs := randObjects(rng, 30, 1000, 20)
 	ix, _ := buildIndex(t, objs, domain, StrategyIC)
-	if _, _, err := ix.PNN(geom.Pt(-5, 20)); err == nil {
+	if _, _, err := ix.PNN(geom.Pt(-5, 20), nil, nil); err == nil {
 		t.Error("query outside the domain must fail")
 	}
 	st := makeStore(t, objs)
 	raw := NewUVIndex(st, domain, DefaultIndexOptions())
-	if _, _, err := raw.PNN(geom.Pt(1, 1)); err == nil {
+	if _, _, err := raw.PNN(geom.Pt(1, 1), nil, nil); err == nil {
 		t.Error("query before Finish must fail")
 	}
 }
@@ -254,7 +254,7 @@ func TestQueryStats(t *testing.T) {
 	objs := randObjects(rng, 150, 1000, 20)
 	ix, _ := buildIndex(t, objs, domain, StrategyIC)
 	ix.Pager().ResetStats()
-	answers, st, err := ix.PNN(geom.Pt(321, 654))
+	answers, st, err := ix.PNN(geom.Pt(321, 654), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

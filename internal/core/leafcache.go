@@ -17,13 +17,10 @@ import (
 // live mutation replaces every leaf it changes with a fresh node, so a
 // tuple list keyed by node identity can never go stale — entries for
 // replaced leaves stop being looked up and age out of the LRU, while
-// unchanged leaves stay warm across mutations (the generation-flush
-// scheme this replaces dropped the whole cache on every write).
+// unchanged leaves stay warm across mutations.
 type LeafCache struct {
 	c *lru.Cache[*qnode, []pager.LeafTuple]
-	// hits/misses feed the server's observability layer. A lookup that
-	// was invalidated by a generation bump counts as a miss — from the
-	// caller's perspective the page had to be re-read either way.
+	// hits/misses feed the server's observability layer.
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -65,13 +62,11 @@ func (c *LeafCache) Evictions() int64 {
 	return c.c.Evictions()
 }
 
-func (c *LeafCache) get(ix *UVIndex, n *qnode) ([]pager.LeafTuple, bool) {
+func (c *LeafCache) get(n *qnode) ([]pager.LeafTuple, bool) {
 	if c == nil {
 		return nil, false
 	}
-	// Constant generation: COW leaves are immutable, node identity
-	// alone is the key (see the type comment).
-	tuples, ok := c.c.Get(0, n)
+	tuples, ok := c.c.Get(n)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -80,9 +75,9 @@ func (c *LeafCache) get(ix *UVIndex, n *qnode) ([]pager.LeafTuple, bool) {
 	return tuples, ok
 }
 
-func (c *LeafCache) put(ix *UVIndex, n *qnode, tuples []pager.LeafTuple) {
+func (c *LeafCache) put(n *qnode, tuples []pager.LeafTuple) {
 	if c == nil {
 		return
 	}
-	c.c.Put(0, n, tuples)
+	c.c.Put(n, tuples)
 }

@@ -638,18 +638,10 @@ func BuildOrderKRegionCR(store *uncertain.Store, region geom.Rect, cr *CRState, 
 // k-NN, and the k objects with smallest distmax are always possible
 // k-NNs, so both the potential answers and enough blockers to reject
 // every non-answer appear in the leaf list.
-func (ix *UVIndex) PossibleKNN(q geom.Point) ([]int32, QueryStats, error) {
-	return ix.possibleKNN(q, nil)
-}
-
-// PossibleKNNCached is PossibleKNN with an optional leaf-tuple cache
-// (see PNNCached); answers are identical, a nil cache degrades to
-// PossibleKNN.
-func (ix *UVIndex) PossibleKNNCached(q geom.Point, cache *LeafCache) ([]int32, QueryStats, error) {
-	return ix.possibleKNN(q, cache)
-}
-
-func (ix *UVIndex) possibleKNN(q geom.Point, cache *LeafCache) ([]int32, QueryStats, error) {
+//
+// cache is an optional leaf-tuple cache (see PNN); answers are
+// identical with or without it.
+func (ix *UVIndex) PossibleKNN(q geom.Point, cache *LeafCache) ([]int32, QueryStats, error) {
 	var st QueryStats
 	if !ix.finished {
 		return nil, st, fmt.Errorf("core: PossibleKNN before Finish")
@@ -662,7 +654,7 @@ func (ix *UVIndex) possibleKNN(q geom.Point, cache *LeafCache) ([]int32, QuerySt
 	n, depth := ix.descend(q)
 	st.Depth = depth
 	var tuples []pager.LeafTuple
-	if cached, ok := cache.get(ix, n); ok {
+	if cached, ok := cache.get(n); ok {
 		tuples = cached
 	} else {
 		var err error
@@ -672,7 +664,7 @@ func (ix *UVIndex) possibleKNN(q geom.Point, cache *LeafCache) ([]int32, QuerySt
 			return nil, st, err
 		}
 		st.IndexIOs += ios
-		cache.put(ix, n, tuples)
+		cache.put(n, tuples)
 	}
 	st.LeafEntries = len(tuples)
 

@@ -49,7 +49,7 @@ func TestOrderKParity(t *testing.T) {
 			}
 			refAns := make([][]int32, len(queries))
 			for i, q := range queries {
-				if refAns[i], _, err = refIx.PossibleKNN(q); err != nil {
+				if refAns[i], _, err = refIx.PossibleKNN(q, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -78,7 +78,7 @@ func TestOrderKParity(t *testing.T) {
 					}
 				}
 				for i, q := range queries {
-					got, _, err := ix.PossibleKNN(q)
+					got, _, err := ix.PossibleKNN(q, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -164,7 +164,7 @@ func TestBuildOrderKAnswersExactly(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(10 + k)))
 		for trial := 0; trial < 30; trial++ {
 			q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-			got, _, err := ix.PossibleKNN(q)
+			got, _, err := ix.PossibleKNN(q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,11 +221,11 @@ func TestOrderKSerializeRoundTrip(t *testing.T) {
 		t.Fatalf("loaded OrderK = %d, want 3", got.OrderK())
 	}
 	q := geom.Pt(321, 654)
-	a1, _, err := ix.PossibleKNN(q)
+	a1, _, err := ix.PossibleKNN(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := got.PossibleKNN(q)
+	a2, _, err := got.PossibleKNN(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

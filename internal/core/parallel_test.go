@@ -52,11 +52,11 @@ func TestParallelBuildEquivalence(t *testing.T) {
 	}
 	for k := 0; k < 40; k++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		a1, _, err := seqIx.PNN(q)
+		a1, _, err := seqIx.PNN(q, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a2, _, err := parIx.PNN(q)
+		a2, _, err := parIx.PNN(q, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestParallelBuildBasic(t *testing.T) {
 	if stats.SumR == 0 {
 		t.Error("Basic build recorded no r-objects")
 	}
-	if _, _, err := ix.PNN(geom.Pt(500, 500)); err != nil {
+	if _, _, err := ix.PNN(geom.Pt(500, 500), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

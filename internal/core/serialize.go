@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"uvdiagram/internal/geom"
+	"uvdiagram/internal/pager"
 	"uvdiagram/internal/uncertain"
 )
 
@@ -103,6 +104,19 @@ type reader struct {
 	err error
 }
 
+// maxPageSize bounds the page size a stream may declare, so a corrupt
+// header cannot size page allocations.
+const maxPageSize = 1 << 20
+
+// checkPageSize rejects a stream's page size when a page cannot hold
+// one leaf tuple or exceeds maxPageSize.
+func checkPageSize(ps int) error {
+	if ps < 2+pager.LeafTupleSize || ps > maxPageSize {
+		return fmt.Errorf("core: implausible page size %d", ps)
+	}
+	return nil
+}
+
 func (rd *reader) u32() uint32 {
 	if rd.err != nil {
 		return 0
@@ -180,6 +194,10 @@ func LoadUVIndex(r io.Reader, store *uncertain.Store) (*UVIndex, error) {
 	n := int(rd.u32())
 	if rd.err != nil {
 		return nil, fmt.Errorf("core: loading index header: %w", rd.err)
+	}
+	opts.normalize()
+	if err := checkPageSize(opts.PageSize); err != nil {
+		return nil, err
 	}
 	if n != store.Len() {
 		return nil, fmt.Errorf("core: index stores %d objects, store has %d", n, store.Len())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -43,11 +44,11 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	// Same answers.
 	for k := 0; k < 50; k++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		a1, _, err := ix.PNN(q)
+		a1, _, err := ix.PNN(q, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a2, _, err := loaded.PNN(q)
+		a2, _, err := loaded.PNN(q, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +97,16 @@ func TestIndexLoadErrors(t *testing.T) {
 	for _, cut := range []int{0, 4, 8, 20, len(data) / 2, len(data) - 1} {
 		if _, err := LoadUVIndex(bytes.NewReader(data[:cut]), ix.store); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
+		}
+	}
+	// Page sizes that cannot hold a tuple, or would size huge pages,
+	// error instead of dividing by zero or allocating. The page size
+	// follows magic, version, domain, M and the split threshold.
+	for _, ps := range []uint32{1, 3, 1 << 31} {
+		bad := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[4+4+32+4+8:], ps)
+		if _, err := LoadUVIndex(bytes.NewReader(bad), ix.store); err == nil {
+			t.Errorf("page size %d accepted", ps)
 		}
 	}
 	// Store size mismatch.

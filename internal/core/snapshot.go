@@ -106,6 +106,9 @@ func OpenUVIndexSnapshot(manifest []byte, store *uncertain.Store, cr *CRState, p
 		return nil, fmt.Errorf("core: snapshot indexes %d objects, store has %d", n, store.Len())
 	}
 	opts.normalize()
+	if err := checkPageSize(opts.PageSize); err != nil {
+		return nil, err
+	}
 	if opts.PageSize != pg.PageSize() {
 		return nil, fmt.Errorf("core: snapshot page size %d, pager %d", opts.PageSize, pg.PageSize())
 	}

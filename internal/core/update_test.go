@@ -47,7 +47,7 @@ func TestInsertLiveCorrectness(t *testing.T) {
 
 	for k := 0; k < 80; k++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		answers, _, err := ix.PNN(q)
+		answers, _, err := ix.PNN(q, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestInsertLiveFlushesPages(t *testing.T) {
 	}
 	// Query at the new object's center: it must be an answer, read from
 	// the on-disk pages.
-	answers, _, err := ix.PNN(o.Region.C)
+	answers, _, err := ix.PNN(o.Region.C, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func RunSensitivity(sc Scale, progress func(string)) (*Table, error) {
 		}
 		var totalMs float64
 		for _, q := range queries {
-			_, st, err := ix.PNN(q)
+			_, st, err := ix.PNN(q, nil, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -163,11 +163,11 @@ func runOrderKParity(sc Scale, workers int, progress func(string)) (*parityRow, 
 	row.StatsIdentical = stats.SumCR == refStats.SumCR && stats.Index == refStats.Index
 	row.AnswersIdentical = true
 	for _, q := range datagen.Queries(64, sc.Side, sc.Seed+5) {
-		got, _, err := ix.PossibleKNN(q)
+		got, _, err := ix.PossibleKNN(q, nil)
 		if err != nil {
 			return nil, err
 		}
-		want, _, err := refIx.PossibleKNN(q)
+		want, _, err := refIx.PossibleKNN(q, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,9 @@
-// Package lru provides a small, mutex-guarded LRU cache with
-// generation-based invalidation: every Get/Put carries the owning
-// structure's current mutation generation, and a generation change
-// flushes the cache before the access proceeds. Read-mostly index
-// structures (the UV-index grid, the helper R-tree) use it to memoize
-// decoded leaf pages for skewed query streams without ever serving
-// pre-mutation state.
+// Package lru provides a small, mutex-guarded, fixed-capacity LRU
+// cache. Read-mostly index structures (the UV-index grid, the helper
+// R-tree) use it to memoize decoded leaf pages for skewed query
+// streams. It never invalidates: those structures are copy-on-write, so
+// they key entries by immutable node identity, and entries for
+// replaced nodes simply age out.
 package lru
 
 import (
@@ -17,7 +16,6 @@ import (
 type Cache[K comparable, V any] struct {
 	mu        sync.Mutex
 	cap       int
-	gen       uint64
 	evictions int64
 	order     *list.List          // front = most recently used
 	entries   map[K]*list.Element // key → element; element value is *entry[K, V]
@@ -51,16 +49,14 @@ func (c *Cache[K, V]) Len() int {
 	return len(c.entries)
 }
 
-// Get returns the value cached under key, if present and stored at the
-// given generation.
-func (c *Cache[K, V]) Get(gen uint64, key K) (V, bool) {
+// Get returns the value cached under key, if present.
+func (c *Cache[K, V]) Get(key K) (V, bool) {
 	var zero V
 	if c == nil {
 		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncGenLocked(gen)
 	el, ok := c.entries[key]
 	if !ok {
 		return zero, false
@@ -69,15 +65,14 @@ func (c *Cache[K, V]) Get(gen uint64, key K) (V, bool) {
 	return el.Value.(*entry[K, V]).val, true
 }
 
-// Put stores val under key at the given generation, evicting the least
-// recently used entry when full.
-func (c *Cache[K, V]) Put(gen uint64, key K, val V) {
+// Put stores val under key, evicting the least recently used entry when
+// full.
+func (c *Cache[K, V]) Put(key K, val V) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncGenLocked(gen)
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*entry[K, V]).val = val
 		c.order.MoveToFront(el)
@@ -93,8 +88,7 @@ func (c *Cache[K, V]) Put(gen uint64, key K, val V) {
 }
 
 // Evictions returns the number of entries pushed out by capacity
-// pressure since creation. Generation flushes do not count: they
-// invalidate, they don't signal an undersized cache.
+// pressure since creation.
 func (c *Cache[K, V]) Evictions() int64 {
 	if c == nil {
 		return 0
@@ -102,14 +96,4 @@ func (c *Cache[K, V]) Evictions() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.evictions
-}
-
-// syncGenLocked flushes the cache if the owner has mutated since the
-// last access.
-func (c *Cache[K, V]) syncGenLocked(gen uint64) {
-	if gen != c.gen {
-		c.gen = gen
-		c.order.Init()
-		clear(c.entries)
-	}
 }

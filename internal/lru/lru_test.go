@@ -8,20 +8,20 @@ import (
 
 func TestGetPut(t *testing.T) {
 	c := New[string, int](2)
-	if _, ok := c.Get(0, "a"); ok {
+	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(0, "a", 1)
-	c.Put(0, "b", 2)
-	if v, ok := c.Get(0, "a"); !ok || v != 1 {
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.Get("a"); !ok || v != 1 {
 		t.Fatalf("a = %d, %v", v, ok)
 	}
 	// "a" was just used; inserting "c" must evict "b".
-	c.Put(0, "c", 3)
-	if _, ok := c.Get(0, "b"); ok {
+	c.Put("c", 3)
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("LRU entry not evicted")
 	}
-	if v, ok := c.Get(0, "a"); !ok || v != 1 {
+	if v, ok := c.Get("a"); !ok || v != 1 {
 		t.Fatalf("recently used entry evicted: %d, %v", v, ok)
 	}
 	if c.Len() != 2 {
@@ -31,29 +31,13 @@ func TestGetPut(t *testing.T) {
 
 func TestPutOverwrites(t *testing.T) {
 	c := New[string, int](2)
-	c.Put(0, "a", 1)
-	c.Put(0, "a", 9)
-	if v, _ := c.Get(0, "a"); v != 9 {
+	c.Put("a", 1)
+	c.Put("a", 9)
+	if v, _ := c.Get("a"); v != 9 {
 		t.Fatalf("a = %d after overwrite", v)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("len = %d", c.Len())
-	}
-}
-
-func TestGenerationFlushes(t *testing.T) {
-	c := New[string, int](4)
-	c.Put(1, "a", 1)
-	if _, ok := c.Get(2, "a"); ok {
-		t.Fatal("entry survived a generation change")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("len = %d after flush", c.Len())
-	}
-	// The flush happens once: entries stored at the new generation stay.
-	c.Put(2, "b", 2)
-	if _, ok := c.Get(2, "b"); !ok {
-		t.Fatal("entry at current generation missed")
 	}
 }
 
@@ -62,8 +46,8 @@ func TestNilCache(t *testing.T) {
 	if c := New[int, int](0); c != nil {
 		t.Fatal("capacity 0 should yield a nil cache")
 	}
-	c.Put(0, 1, 1) // must not panic
-	if _, ok := c.Get(0, 1); ok {
+	c.Put(1, 1) // must not panic
+	if _, ok := c.Get(1); ok {
 		t.Fatal("nil cache hit")
 	}
 	if c.Len() != 0 {
@@ -80,11 +64,11 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := (w*31 + i) % 16
-				if v, ok := c.Get(uint64(i%3), k); ok && v != k*10 {
+				if v, ok := c.Get(k); ok && v != k*10 {
 					t.Errorf("key %d = %d", k, v)
 					return
 				}
-				c.Put(uint64(i%3), k, k*10)
+				c.Put(k, k*10)
 			}
 		}(w)
 	}
@@ -94,13 +78,13 @@ func TestConcurrentAccess(t *testing.T) {
 func TestEvictionOrderUnderChurn(t *testing.T) {
 	c := New[string, int](3)
 	for i := 0; i < 10; i++ {
-		c.Put(0, fmt.Sprintf("k%d", i), i)
+		c.Put(fmt.Sprintf("k%d", i), i)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("len = %d", c.Len())
 	}
 	for i := 7; i < 10; i++ {
-		if v, ok := c.Get(0, fmt.Sprintf("k%d", i)); !ok || v != i {
+		if v, ok := c.Get(fmt.Sprintf("k%d", i)); !ok || v != i {
 			t.Fatalf("k%d = %d, %v", i, v, ok)
 		}
 	}

@@ -67,14 +67,12 @@ func (t *Tree) readLeafCached(n *node, cache *LeafCache) []Item {
 	if cache == nil {
 		return t.readLeaf(n)
 	}
-	// Constant generation: node identity alone keys the immutable COW
-	// nodes (see the type comment).
-	if items, ok := cache.c.Get(0, n); ok {
+	if items, ok := cache.c.Get(n); ok {
 		cache.hits.Add(1)
 		return items
 	}
 	cache.misses.Add(1)
 	items := t.readLeaf(n)
-	cache.c.Put(0, n, items)
+	cache.c.Put(n, items)
 	return items
 }

@@ -94,7 +94,7 @@ func TestMetricsExactness(t *testing.T) {
 
 // TestMetricsMaintenanceFeed verifies the DB-observer wiring: engine
 // maintenance fired through the server's DB shows up in the maint.*
-// counters, and the leaf-cache gauges mirror DB.LeafCacheStats.
+// counters, and the leaf-cache gauges mirror DB.BufferPoolStats.
 func TestMetricsMaintenanceFeed(t *testing.T) {
 	cli, srv := startServer(t, 60)
 	db := srv.DB()
@@ -108,10 +108,10 @@ func TestMetricsMaintenanceFeed(t *testing.T) {
 	if got := m["maint.compact.count"]; got != 1 {
 		t.Errorf("maint.compact.count = %g, want 1", got)
 	}
-	hits, misses := db.LeafCacheStats()
-	if m["cache.leaf_hits"] != float64(hits) || m["cache.leaf_misses"] != float64(misses) {
-		t.Errorf("cache gauges (%g, %g) != LeafCacheStats (%d, %d)",
-			m["cache.leaf_hits"], m["cache.leaf_misses"], hits, misses)
+	bp := db.BufferPoolStats()
+	if m["cache.leaf_hits"] != float64(bp.LeafHits) || m["cache.leaf_misses"] != float64(bp.LeafMisses) {
+		t.Errorf("cache gauges (%g, %g) != BufferPoolStats (%d, %d)",
+			m["cache.leaf_hits"], m["cache.leaf_misses"], bp.LeafHits, bp.LeafMisses)
 	}
 }
 

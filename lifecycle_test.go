@@ -56,7 +56,7 @@ func TestFullLifecycle(t *testing.T) {
 			t.Fatalf("q=%v: PNN diverges after reload+insert: %v vs %v", q, a1, a2)
 		}
 		for i := range a1 {
-			if a1[i].ID != a2[i].ID {
+			if a1[i] != a2[i] {
 				t.Fatalf("q=%v: PNN diverges after reload+insert: %v vs %v", q, a1, a2)
 			}
 		}
@@ -194,12 +194,17 @@ func TestFullLifecycle(t *testing.T) {
 	if len(b3) != len(ans) {
 		t.Fatalf("PNN diverges after reload with tombstones: %v vs %v", b3, ans)
 	}
+	for i := range b3 {
+		if b3[i] != ans[i] {
+			t.Fatalf("PNN diverges after reload with tombstones: %v vs %v", b3, ans)
+		}
+	}
 }
 
-// TestShardedLifecycle: a sharded database round-trips through the
-// version-3 stream — layout, tombstones and every shard's sub-grid —
-// and the reload answers bitwise like the original AND like an
-// unsharded reload of an unsharded snapshot of the same population.
+// TestShardedLifecycle: a sharded database round-trips through Save and
+// Load — layout, tombstones and every shard's sub-grid — and the reload
+// answers bitwise like the original AND like an unsharded reload of an
+// unsharded snapshot of the same population.
 func TestShardedLifecycle(t *testing.T) {
 	cfg := datagen.Config{N: 50, Side: 2000, Diameter: 30, Seed: 4242}
 	objs := datagen.Uniform(cfg)
@@ -259,11 +264,8 @@ func TestShardedLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The sharded and unsharded in-memory engines agree bitwise; the
-		// reload agrees on the answer IDs exactly and on probabilities up
-		// to the PDF re-normalization noise every Load carries (weights
-		// are re-normalized by NewHistogramPDF, shifting CDFs by ULPs —
-		// the same tolerance TestFullLifecycle uses).
+		// The sharded and unsharded in-memory engines and the reload
+		// all agree bitwise: Save/Load carries the page images exactly.
 		if len(got) != len(want) || len(got) != len(ref) {
 			t.Fatalf("q=%v: PNN diverges: reload %v, original %v, unsharded %v", q, got, want, ref)
 		}
@@ -271,11 +273,8 @@ func TestShardedLifecycle(t *testing.T) {
 			if want[i] != ref[i] {
 				t.Fatalf("q=%v: sharded %v diverges from unsharded %v", q, want, ref)
 			}
-			if got[i].ID != want[i].ID {
+			if got[i] != want[i] {
 				t.Fatalf("q=%v: reload answers %v, original %v", q, got, want)
-			}
-			if d := got[i].Prob - want[i].Prob; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("q=%v: reload probability drifted: %v vs %v", q, got, want)
 			}
 		}
 	}
@@ -288,8 +287,8 @@ func TestShardedLifecycle(t *testing.T) {
 		t.Fatal("delete after sharded reload did not stick")
 	}
 
-	// An UNsharded database still writes the version-2 stream, byte-wise
-	// loadable as before, and a sharded stream reloads under nil opts.
+	// An UNsharded database reloads as one shard, and a sharded stream
+	// reloads under nil opts.
 	var flatSnap bytes.Buffer
 	if err := flat.Save(&flatSnap); err != nil {
 		t.Fatal(err)

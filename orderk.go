@@ -109,7 +109,7 @@ func (ix *OrderKIndex) PossibleKNN(q Point) ([]int32, QueryStats, error) {
 	if err := ix.fresh(); err != nil {
 		return nil, QueryStats{}, err
 	}
-	return ix.inner.PossibleKNN(q)
+	return ix.inner.PossibleKNN(q, nil)
 }
 
 // Save serializes the order-k index structure (the stream carries the
@@ -150,7 +150,7 @@ func (ix *OrderKIndex) KNNProbs(q Point, trials int, seed int64) ([]Answer, Quer
 	if err := ix.fresh(); err != nil {
 		return nil, QueryStats{}, err
 	}
-	ids, st, err := ix.inner.PossibleKNN(q)
+	ids, st, err := ix.inner.PossibleKNN(q, nil)
 	if err != nil {
 		return nil, st, err
 	}

@@ -14,157 +14,66 @@ import (
 	"uvdiagram/internal/uncertain"
 )
 
-// Database persistence: Save writes the objects and the built
-// UV-index(es); Load reopens them without re-running construction (the
-// helper R-tree is re-bulk-loaded, which is cheap). The stream is
-// self-contained and versioned.
+// Database persistence. DB.Save writes the version-5 page-image
+// snapshot (persist5.go), the only format the engine writes. Load
+// reads every version: v5 streams replay their page sections into heap
+// pagers; versions 1–4, written by earlier releases as a LOGICAL stream
+// (objects plus one serialized UV-index per shard), go through the
+// frozen decoder below, which rebuilds every page on load (the helper
+// R-tree is re-bulk-loaded, which is cheap).
 
 const (
 	dbMagic = 0x55564442 // "UVDB"
-	// dbVersion 2 added a per-object tombstone flag so a database with
-	// deletions round-trips; version-1 streams are still readable and
-	// imply every object is live. Version 3 adds the spatial shard
-	// layout (gx × gy grid) followed by one index stream per shard.
-	// Version 4 adds the layout's cut coordinates for adaptive
-	// (weighted-median or resharded) layouts; a sharded database whose
-	// cuts are exactly the equal strips keeps writing the byte-
-	// compatible version 3, single-shard databases keep writing
-	// version 2, and Load accepts all four.
-	dbVersion        = 2
+	// Version 1 is the unsharded logical stream; version 2 added a
+	// per-object tombstone flag; version 3 the spatial shard layout
+	// (gx × gy grid) followed by one index stream per shard; version 4
+	// the layout's cut coordinates for adaptive layouts.
 	dbVersionSharded = 3
 	dbVersionCuts    = 4
 )
 
-// Save serializes the database (objects + UV-indexes) to w. A
-// single-shard database writes the backward-compatible version-2
-// stream; an equal-strip sharded one writes version 3 (byte-compatible
-// with pre-adaptive readers); an adaptively cut layout writes version 4
-// with its cut coordinates.
-func (db *DB) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var scratch [8]byte
-	u32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	f64 := func(v float64) error {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-		_, err := bw.Write(scratch[:])
-		return err
-	}
-	if err := u32(dbMagic); err != nil {
-		return err
-	}
-	lo := db.lo()
-	version := uint32(dbVersion)
-	if len(lo.shards) > 1 {
-		if equalStripLayout(lo, db.domain) {
-			version = dbVersionSharded
-		} else {
-			version = dbVersionCuts
-		}
-	}
-	if err := u32(version); err != nil {
-		return err
-	}
-	for _, v := range []float64{db.domain.Min.X, db.domain.Min.Y, db.domain.Max.X, db.domain.Max.Y} {
-		if err := f64(v); err != nil {
-			return err
-		}
-	}
-	if version >= dbVersionSharded {
-		if err := u32(uint32(lo.gx)); err != nil {
-			return err
-		}
-		if err := u32(uint32(lo.gy)); err != nil {
-			return err
-		}
-	}
-	if version >= dbVersionCuts {
-		for _, v := range lo.xs {
-			if err := f64(v); err != nil {
-				return err
-			}
-		}
-		for _, v := range lo.ys {
-			if err := f64(v); err != nil {
-				return err
-			}
-		}
-	}
-	// The dense slice keeps deleted slots in place: ids are positions,
-	// and the index stream refers to objects by id.
-	objs := db.store.Dense()
-	if err := u32(uint32(len(objs))); err != nil {
-		return err
-	}
-	for i, o := range objs {
-		aliveFlag := byte(0)
-		if db.store.Alive(int32(i)) {
-			aliveFlag = 1
-		}
-		if err := bw.WriteByte(aliveFlag); err != nil {
-			return err
-		}
-		if err := f64(o.Region.C.X); err != nil {
-			return err
-		}
-		if err := f64(o.Region.C.Y); err != nil {
-			return err
-		}
-		if err := f64(o.Region.R); err != nil {
-			return err
-		}
-		ws := o.PDF.Weights()
-		if err := u32(uint32(len(ws))); err != nil {
-			return err
-		}
-		for _, wgt := range ws {
-			if err := f64(wgt); err != nil {
-				return err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// One index stream per shard, in row-major shard order (a single
-	// shard reproduces the version-2 body exactly). Every stream writes
-	// the shared registry, so each shard stays independently loadable
-	// by pre-registry readers.
-	for i := range lo.shards {
-		if err := lo.epAt(i).index.Save(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// equalStripLayout reports whether a layout's cuts are exactly the
-// equal strips the grid dimensions imply — the layouts version-3
-// streams can represent.
-func equalStripLayout(lo *shardLayout, domain Rect) bool {
-	ex := cuts(domain.Min.X, domain.Max.X, lo.gx)
-	ey := cuts(domain.Min.Y, domain.Max.Y, lo.gy)
-	for i, v := range lo.xs {
-		if v != ex[i] {
-			return false
-		}
-	}
-	for i, v := range lo.ys {
-		if v != ey[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Load reopens a database written by Save. opts only affect future
+// Load reopens a database written by Save, SaveSnapshot or an earlier
+// release's logical writer (versions 1–4). opts only affect future
 // Inserts and Reshards (seed/pruning parameters, layout strategy); the
-// index structure and shard layout come from the stream.
-func Load(r io.Reader, opts *Options) (*DB, error) {
-	br := bufio.NewReader(r)
+// index structure and shard layout come from the stream. A malformed
+// version-5 stream yields a *SnapshotError.
+func Load(r io.Reader, opts *Options) (*DB, error) { return load(r, "", opts) }
+
+// load reads the stream header and dispatches on its version; path
+// only labels errors.
+func load(r io.Reader, path string, opts *Options) (*DB, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	version, err := readHeader(br, path)
+	if err != nil {
+		return nil, err
+	}
+	if version == dbVersionSnapshot {
+		return loadSnapshot(br, path, opts)
+	}
+	return loadLogical(br, version, opts)
+}
+
+// readHeader reads the magic and version words and rejects versions no
+// reader handles.
+func readHeader(r io.Reader, path string) (uint32, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, snapErr(path, "reading header: %v", err)
+	}
+	if binary.LittleEndian.Uint32(hdr[0:]) != dbMagic {
+		return 0, fmt.Errorf("uvdiagram: not a UV-diagram database stream")
+	}
+	version := binary.LittleEndian.Uint32(hdr[4:])
+	if version < 1 || version > dbVersionSnapshot {
+		return 0, snapErr(path, "unsupported version %d", version)
+	}
+	return version, nil
+}
+
+// loadLogical is the frozen decoder of the version 1–4 logical stream,
+// positioned just past the header. No code writes this format any more;
+// testdata/ holds fixtures of every version it reads.
+func loadLogical(br *bufio.Reader, version uint32, opts *Options) (*DB, error) {
 	var scratch [8]byte
 	u32 := func() (uint32, error) {
 		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
@@ -178,17 +87,7 @@ func Load(r io.Reader, opts *Options) (*DB, error) {
 		}
 		return math.Float64frombits(binary.LittleEndian.Uint64(scratch[:])), nil
 	}
-	magic, err := u32()
-	if err != nil {
-		return nil, fmt.Errorf("uvdiagram: reading header: %w", err)
-	}
-	if magic != dbMagic {
-		return nil, fmt.Errorf("uvdiagram: not a UV-diagram database stream")
-	}
-	version, err := u32()
-	if err != nil || version < 1 || version > dbVersionCuts {
-		return nil, fmt.Errorf("uvdiagram: unsupported version %d (err=%v)", version, err)
-	}
+	var err error
 	var coords [4]float64
 	for i := range coords {
 		if coords[i], err = f64(); err != nil {
@@ -246,9 +145,11 @@ func Load(r io.Reader, opts *Options) (*DB, error) {
 	if n == 0 || n > 1<<26 {
 		return nil, fmt.Errorf("uvdiagram: implausible object count %d", n)
 	}
-	objs := make([]Object, n)
+	// Grow the object slice as records arrive: n is only bounded, not
+	// yet backed by bytes, so it must not size an allocation.
+	var objs []Object
 	deadIDs := make([]int32, 0)
-	for i := range objs {
+	for i := 0; i < int(n); i++ {
 		if version >= 2 {
 			flag, err := br.ReadByte()
 			if err != nil {
@@ -281,7 +182,7 @@ func Load(r io.Reader, opts *Options) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("uvdiagram: object %d: %w", i, err)
 		}
-		objs[i] = NewObject(int32(i), x, y, rad, pdf)
+		objs = append(objs, NewObject(int32(i), x, y, rad, pdf))
 	}
 
 	store, err := uncertain.NewStore(objs, pager.New(uncertain.ObjectPageBytes))

@@ -2,12 +2,14 @@ package uvdiagram
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"time"
 
 	"uvdiagram/internal/core"
@@ -17,17 +19,17 @@ import (
 	"uvdiagram/internal/uncertain"
 )
 
-// Out-of-core persistence (version 5): where Save/Load persist the
-// LOGICAL database and rebuild every disk page on load, SaveSnapshot
-// writes a page-image snapshot — the raw pages of the object store,
-// every shard's UV-index and the helper R-tree, each section aligned to
-// snapAlign, preceded by a metadata blob (domain, layout, tombstones,
-// constraint registry, per-section manifests). Open of a v5 file then
-// serves STRAIGHT OFF THE FILE: the page sections become mmap-backed
-// pager.FileStores (zero-copy reads, no rebuild, no per-page heap), so
-// a database much larger than RAM opens in milliseconds and the kernel
-// pages leaf data in and out on demand. Open falls back to Load for
-// version ≤ 4 streams, so uvdiagram.Open(path) is the universal opener.
+// Page-image persistence (version 5): Save writes the raw pages of the
+// object store, every shard's UV-index and the helper R-tree, each
+// section aligned to snapAlign, preceded by a metadata blob (domain,
+// layout, tombstones, constraint registry, per-section manifests).
+// Load replays the sections into heap pagers; Open of a v5 file in mmap
+// mode serves STRAIGHT OFF THE FILE: the page sections become
+// mmap-backed pager.FileStores (zero-copy reads, no rebuild, no
+// per-page heap), so a database much larger than RAM opens in
+// milliseconds and the kernel pages leaf data in and out on demand.
+// Open falls back to Load for every other case, so uvdiagram.Open(path)
+// is the universal opener.
 //
 // File layout:
 //
@@ -55,9 +57,9 @@ const (
 // returns a partially constructed DB alongside it.
 var ErrCorruptSnapshot = errors.New("uvdiagram: corrupt snapshot")
 
-// SnapshotError is the concrete malformed-snapshot error: the file and
-// what was wrong with it. errors.Is(err, ErrCorruptSnapshot) matches
-// it.
+// SnapshotError is the concrete malformed-snapshot error: the file (empty
+// for a Load stream) and what was wrong with it.
+// errors.Is(err, ErrCorruptSnapshot) matches it.
 type SnapshotError struct {
 	Path   string
 	Detail error
@@ -65,6 +67,9 @@ type SnapshotError struct {
 
 // Error implements error.
 func (e *SnapshotError) Error() string {
+	if e.Path == "" {
+		return fmt.Sprintf("uvdiagram: snapshot stream: %v", e.Detail)
+	}
 	return fmt.Sprintf("uvdiagram: snapshot %s: %v", e.Path, e.Detail)
 }
 
@@ -87,6 +92,7 @@ type snapMeta struct {
 	dead          []bool
 	crSets        [][]int32
 	storePageSize int
+	metaEnd       int64 // byte offset just past the metadata blob
 	storeOff      int64 // byte offset of the object page section
 	shards        []snapSection
 	rt            snapSection
@@ -161,11 +167,11 @@ func alignUp(off int64) int64 {
 	return (off + snapAlign - 1) / snapAlign * snapAlign
 }
 
-// SaveSnapshot writes the database as a version-5 page-image snapshot
-// to path (atomically: a temp file renamed into place), ready to be
-// served off-disk by Open. The caller must not run mutations
-// concurrently (queries are fine), matching Save's contract.
-func (db *DB) SaveSnapshot(path string) error {
+// Save writes the database to dst as a version-5 page-image snapshot,
+// the one format the engine writes. Queries may run concurrently; it
+// holds the store-level lock (smu) shared, so Insert and Delete wait
+// until the stream is written.
+func (db *DB) Save(dst io.Writer) error {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
 
@@ -197,7 +203,7 @@ func (db *DB) SaveSnapshot(path string) error {
 		w.buf = append(w.buf, flag)
 	}
 	// The engine-wide constraint registry, once — not once per shard as
-	// the v≤4 index streams do.
+	// the v≤4 index streams did.
 	for i := 0; i < n; i++ {
 		ids := db.cr.Of(int32(i))
 		w.u32(uint32(len(ids)))
@@ -207,9 +213,8 @@ func (db *DB) SaveSnapshot(path string) error {
 	}
 	w.u32(uint32(storePg.PageSize()))
 	type section struct {
-		pg       *pager.Pager
-		pages    []pager.PageID
-		manifest []byte
+		pg    *pager.Pager
+		pages []pager.PageID
 	}
 	sections := make([]section, 0, len(eps)+1)
 	for i, ep := range eps {
@@ -231,18 +236,7 @@ func (db *DB) SaveSnapshot(path string) error {
 	w.u32(uint32(len(pages)))
 	sections = append(sections, section{pg: tree.Pager(), pages: pages})
 
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if f != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := bufio.NewWriterSize(dst, 1<<20)
 	var written int64
 	emit := func(b []byte) error {
 		nn, err := bw.Write(b)
@@ -289,23 +283,77 @@ func (db *DB) SaveSnapshot(path string) error {
 			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	return bw.Flush()
+}
+
+// SaveSnapshot writes Save's stream to path crash-consistently: into a
+// temp file that is fsynced, renamed into place, and made durable by
+// an fsync of the parent directory. A crash leaves either the old file
+// or the complete new one.
+func (db *DB) SaveSnapshot(path string) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		return err
+	err = db.Save(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		f = nil
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	f = nil
-	return os.Rename(tmp, path)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// readSnapMeta reads the metadata length and blob of a v5 file or
+// stream positioned just past its version word, and parses them. A
+// negative fileSize marks a stream of unknown length: the blob then
+// grows only as its bytes arrive instead of trusting the length word.
+func readSnapMeta(r io.Reader, path string, fileSize int64) (*snapMeta, error) {
+	var lenBuf [8]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		return nil, snapErr(path, "reading header: %v", err)
+	}
+	metaLen := binary.LittleEndian.Uint64(lenBuf[:])
+	if metaLen > snapMaxMeta || fileSize >= 0 && 16+int64(metaLen) > fileSize {
+		return nil, snapErr(path, "metadata of %d bytes exceeds file of %d", metaLen, fileSize)
+	}
+	var meta []byte
+	var err error
+	if fileSize >= 0 {
+		meta = make([]byte, metaLen) // bounded by the file size
+		_, err = io.ReadFull(r, meta)
+	} else {
+		var buf bytes.Buffer
+		_, err = io.CopyN(&buf, r, int64(metaLen))
+		meta = buf.Bytes()
+	}
+	if err != nil {
+		return nil, snapErr(path, "reading metadata: %v", err)
+	}
+	return parseSnapMeta(path, meta, 16, fileSize)
 }
 
 // parseSnapMeta decodes and validates the metadata blob, computing each
-// section's byte offset and checking every section fits the file.
+// section's byte offset and checking every section fits the file. A
+// negative fileSize (a stream of unknown length) skips the fit checks:
+// the stream reader then fails on the first missing page instead.
 func parseSnapMeta(path string, meta []byte, metaOff, fileSize int64) (*snapMeta, error) {
 	r := &metaReader{b: meta}
 	m := &snapMeta{}
@@ -353,8 +401,8 @@ func parseSnapMeta(path string, meta []byte, metaOff, fileSize int64) (*snapMeta
 			if r.err != nil {
 				break
 			}
-			if k > m.n {
-				r.err = fmt.Errorf("object %d cr-set of %d exceeds object count %d", i, k, m.n)
+			if k > m.n || k > len(r.b)/4 {
+				r.err = fmt.Errorf("object %d cr-set of %d ids exceeds object count %d or metadata", i, k, m.n)
 				break
 			}
 			ids := make([]int32, k)
@@ -372,9 +420,10 @@ func parseSnapMeta(path string, meta []byte, metaOff, fileSize int64) (*snapMeta
 	if r.err == nil && (m.storePageSize <= 0 || m.storePageSize > snapMaxPageSize) {
 		return nil, snapErr(path, "store page size %d", m.storePageSize)
 	}
-	off := alignUp(metaOff + int64(len(meta)))
+	m.metaEnd = metaOff + int64(len(meta))
+	off := alignUp(m.metaEnd)
 	if r.err == nil {
-		if end := off + int64(m.n)*int64(m.storePageSize); end > fileSize {
+		if end := off + int64(m.n)*int64(m.storePageSize); fileSize >= 0 && end > fileSize {
 			return nil, snapErr(path, "object section [%d, %d) exceeds file of %d bytes", off, end, fileSize)
 		}
 	}
@@ -396,7 +445,7 @@ func parseSnapMeta(path string, meta []byte, metaOff, fileSize int64) (*snapMeta
 		}
 		s.off = off
 		end := off + int64(s.pageCount)*int64(s.pageSize)
-		if end > fileSize {
+		if fileSize >= 0 && end > fileSize {
 			return s, snapErr(path, "%s section [%d, %d) exceeds file of %d bytes", name, off, end, fileSize)
 		}
 		off = alignUp(end)
@@ -429,18 +478,17 @@ func parseSnapMeta(path string, meta []byte, metaOff, fileSize int64) (*snapMeta
 	return m, nil
 }
 
-// Open opens a database file written by SaveSnapshot (version 5) or
-// Save (versions 1–4; Open falls back to Load for those, rebuilding
-// pages in the heap as Load always has).
+// Open opens a database file written by Save or SaveSnapshot, or a
+// version 1–4 file from an earlier release.
 //
 // For a v5 snapshot, Options.Pager picks the backend: "mmap" (the
 // default) maps the file read-only and serves zero-copy page reads off
 // the mapping — the out-of-core mode, where opening is O(metadata) and
-// the OS pages index data in on demand; "heap" copies the page images
-// into in-heap pagers and closes the file, trading resident memory for
+// the OS pages index data in on demand; "heap" Loads the file, copying
+// the page images into in-heap pagers, trading resident memory for
 // independence from it. Either way the answers are identical to the
-// database that was saved. Call DB.Close when done with an mmap-backed
-// database.
+// database that was saved. Version 1–4 files always Load into the heap.
+// Call DB.Close when done with an mmap-backed database.
 func Open(path string, opts *Options) (*DB, error) {
 	mode, err := opts.pagerMode()
 	if err != nil {
@@ -450,94 +498,92 @@ func Open(path string, opts *Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(f, hdr[:8]); err != nil {
-		f.Close()
-		return nil, snapErr(path, "reading header: %v", err)
+	version := uint32(0)
+	if mode == pagerModeMmap {
+		if version, err = readHeader(f, path); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != dbMagic {
-		f.Close()
-		return nil, fmt.Errorf("uvdiagram: %s is not a UV-diagram database file", path)
-	}
-	version := binary.LittleEndian.Uint32(hdr[4:])
-	if version >= 1 && version <= dbVersionCuts {
-		// Classic logical stream: rewind and hand it to Load.
+	if version != dbVersionSnapshot {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			f.Close()
 			return nil, err
 		}
-		db, err := Load(bufio.NewReaderSize(f, 1<<20), opts)
+		db, err := load(f, path, opts)
 		f.Close()
 		return db, err
-	}
-	if version != dbVersionSnapshot {
-		f.Close()
-		return nil, snapErr(path, "unsupported version %d", version)
 	}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	fileSize := st.Size()
-	if _, err := io.ReadFull(f, hdr[8:]); err != nil {
-		f.Close()
-		return nil, snapErr(path, "reading header: %v", err)
-	}
-	metaLen := binary.LittleEndian.Uint64(hdr[8:])
-	if metaLen > snapMaxMeta || 16+int64(metaLen) > fileSize {
-		f.Close()
-		return nil, snapErr(path, "metadata of %d bytes exceeds file of %d", metaLen, fileSize)
-	}
-	meta := make([]byte, metaLen)
-	if _, err := io.ReadFull(f, meta); err != nil {
-		f.Close()
-		return nil, snapErr(path, "reading metadata: %v", err)
-	}
-	m, err := parseSnapMeta(path, meta, 16, fileSize)
+	m, err := readSnapMeta(f, path, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-
-	// Materialize the page sections as pagers: FileStores over one
-	// shared mapping (mmap mode) or heap replays (heap mode).
-	var mapping *pager.Mapping
-	fail := func(err error) (*DB, error) {
-		if mapping != nil {
-			mapping.Close() // closes f too
-		} else {
-			f.Close()
-		}
+	mapping, err := pager.MapFile(f)
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
-	sectionPager := func(off int64, count, pageSize int) (*pager.Pager, error) {
-		if mapping != nil {
-			fs, err := pager.NewFileStore(mapping, int(off), count, pageSize)
-			if err != nil {
-				return nil, snapErr(path, "%v", err)
-			}
-			return pager.NewWithStore(fs), nil
+	// The page sections become FileStores over the one shared mapping.
+	return assembleSnapshot(path, m, opts, mode, mapping.Close, func(off int64, count, pageSize int) (*pager.Pager, error) {
+		fs, err := pager.NewFileStore(mapping, int(off), count, pageSize)
+		if err != nil {
+			return nil, snapErr(path, "%v", err)
 		}
-		buf := make([]byte, int64(count)*int64(pageSize))
-		if _, err := f.ReadAt(buf, off); err != nil {
-			return nil, snapErr(path, "reading section at %d: %v", off, err)
+		return pager.NewWithStore(fs), nil
+	})
+}
+
+// loadSnapshot reads a v5 stream positioned just past its version word,
+// replaying every page section into a heap pager. Nothing is sized from
+// the header's page counts: pages are allocated one at a time as their
+// bytes arrive, so a truncated or lying stream fails on the first
+// missing page.
+func loadSnapshot(br *bufio.Reader, path string, opts *Options) (*DB, error) {
+	m, err := readSnapMeta(br, path, -1)
+	if err != nil {
+		return nil, err
+	}
+	pos := m.metaEnd
+	var page []byte
+	return assembleSnapshot(path, m, opts, pagerModeHeap, nil, func(off int64, count, pageSize int) (*pager.Pager, error) {
+		if _, err := br.Discard(int(off - pos)); err != nil {
+			return nil, snapErr(path, "reading padding before %d: %v", off, err)
+		}
+		if len(page) < pageSize {
+			page = make([]byte, pageSize) // bounded by parseSnapMeta
 		}
 		pg := pager.New(pageSize)
 		for i := 0; i < count; i++ {
-			pg.Alloc(buf[i*pageSize : (i+1)*pageSize])
+			if _, err := io.ReadFull(br, page[:pageSize]); err != nil {
+				return nil, snapErr(path, "reading page %d of section at %d: %v", i, off, err)
+			}
+			pg.Alloc(page[:pageSize])
 		}
+		pos = off + int64(count)*int64(pageSize)
 		pg.ResetStats() // replay writes are not workload I/O
 		return pg, nil
-	}
-	if mode == pagerModeMmap {
-		mapping, err = pager.MapFile(f)
-		if err != nil {
-			f.Close()
-			return nil, err
+	})
+}
+
+// assembleSnapshot builds the database from parsed v5 metadata. section
+// materializes one page section as a pager; it is called in file order
+// (objects, shards, R-tree), which the stream reader relies on. closer
+// releases the backing on failure and becomes DB.closer on success.
+func assembleSnapshot(path string, m *snapMeta, opts *Options, mode string, closer func() error,
+	section func(off int64, count, pageSize int) (*pager.Pager, error)) (*DB, error) {
+	fail := func(err error) (*DB, error) {
+		if closer != nil {
+			closer()
 		}
+		return nil, err
 	}
-	storePg, err := sectionPager(m.storeOff, m.n, m.storePageSize)
+	storePg, err := section(m.storeOff, m.n, m.storePageSize)
 	if err != nil {
 		return fail(err)
 	}
@@ -557,7 +603,7 @@ func Open(path string, opts *Options) (*DB, error) {
 	t0 := time.Now()
 	for i := range lo.shards {
 		sec := m.shards[i]
-		pg, err := sectionPager(sec.off, sec.pageCount, sec.pageSize)
+		pg, err := section(sec.off, sec.pageCount, sec.pageSize)
 		if err != nil {
 			return fail(err)
 		}
@@ -572,7 +618,7 @@ func Open(path string, opts *Options) (*DB, error) {
 		lo.shards[i].epoch.Store(&indexEpoch{index: ix})
 		shapes[i] = ix.Stats()
 	}
-	rtPg, err := sectionPager(m.rt.off, m.rt.pageCount, m.rt.pageSize)
+	rtPg, err := section(m.rt.off, m.rt.pageCount, m.rt.pageSize)
 	if err != nil {
 		return fail(err)
 	}
@@ -586,11 +632,7 @@ func Open(path string, opts *Options) (*DB, error) {
 	built := BuildStats{Strategy: bopts.Strategy, N: store.Live(), Index: aggregateIndexStats(shapes)}
 	built.TotalDur = time.Since(t0)
 	db.built.Store(&built)
-	if mapping != nil {
-		db.closer = mapping.Close
-	} else {
-		f.Close()
-	}
+	db.closer = closer
 	if err := db.startConfiguredMaintainer(opts); err != nil {
 		db.Close()
 		return nil, err

@@ -1,8 +1,10 @@
 package uvdiagram_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -182,34 +184,161 @@ func TestOpenSnapshotMutable(t *testing.T) {
 	assertEquivalent(t, db, re, 13)
 }
 
-// TestOpenClassicStream checks Open's fallback: a version ≤ 4 stream
-// written by Save loads through the classic path.
+// TestOpenClassicStream checks Open's fallback: every version ≤ 4
+// fixture, written by the retired logical writer, loads through the
+// frozen decoder into the heap and answers like a fresh build of the
+// same objects.
 func TestOpenClassicStream(t *testing.T) {
-	cfg := datagen.Config{N: 150, Side: 2000, Diameter: 30, Seed: 42}
-	db, err := uvdiagram.Build(datagen.Uniform(cfg), cfg.Domain(), &uvdiagram.Options{Shards: 2})
+	for _, fx := range uvdiagram.Fixtures {
+		if fx.Version > 4 {
+			continue
+		}
+		t.Run(fx.Name, func(t *testing.T) {
+			opened, err := uvdiagram.Open(fx.Path(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer opened.Close()
+			if opened.PagerMode() != "heap" {
+				t.Fatalf("classic stream served as %q", opened.PagerMode())
+			}
+			assertEquivalentTol(t, fx.Fresh(t), opened, 17, fx.Tol)
+		})
+	}
+}
+
+// TestFixturesLoad: every committed fixture opens through Load and
+// through Open in both pager modes, keeps its shape (layout, cuts,
+// tombstones) and answers like a fresh build — bitwise for the v5
+// page images, within the fixture's tolerance for the logical streams.
+// Re-saving the v5 fixture reproduces its bytes, which pins the layout.
+func TestFixturesLoad(t *testing.T) {
+	for _, fx := range uvdiagram.Fixtures {
+		t.Run(fx.Name, func(t *testing.T) {
+			data := fx.Bytes(t)
+			if v := binary.LittleEndian.Uint32(data[4:]); v != fx.Version {
+				t.Fatalf("fixture header says version %d, want %d", v, fx.Version)
+			}
+			fresh := fx.Fresh(t)
+			loaded, err := uvdiagram.Load(bytes.NewReader(data), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dbs := map[string]*uvdiagram.DB{"Load": loaded}
+			for _, mode := range []string{"mmap", "heap"} {
+				db, err := uvdiagram.Open(fx.Path(), &uvdiagram.Options{Pager: mode})
+				if err != nil {
+					t.Fatalf("Open/%s: %v", mode, err)
+				}
+				defer db.Close()
+				dbs["Open/"+mode] = db
+			}
+			for name, db := range dbs {
+				xs1, ys1 := fresh.ShardCuts()
+				xs2, ys2 := db.ShardCuts()
+				if fmt.Sprint(xs1, ys1) != fmt.Sprint(xs2, ys2) {
+					t.Fatalf("%s: cuts %v/%v, fresh build has %v/%v", name, xs2, ys2, xs1, ys1)
+				}
+				if db.Len() != fresh.Len() || db.NextID() != fresh.NextID() || db.Domain() != fresh.Domain() {
+					t.Fatalf("%s: shape Len %d/%d, NextID %d/%d, Domain %v/%v", name,
+						db.Len(), fresh.Len(), db.NextID(), fresh.NextID(), db.Domain(), fresh.Domain())
+				}
+				for id := int32(0); id < fresh.NextID(); id++ {
+					if db.Alive(id) != fresh.Alive(id) {
+						t.Fatalf("%s: Alive(%d) = %v, fresh build says %v", name, id, db.Alive(id), fresh.Alive(id))
+					}
+				}
+				assertEquivalentTol(t, fresh, db, 23, fx.Tol)
+				if fx.Version < 5 {
+					continue
+				}
+				if db.IndexStats() != fresh.IndexStats() {
+					t.Fatalf("%s: index stats differ:\n%+v\n%+v", name, db.IndexStats(), fresh.IndexStats())
+				}
+				var again bytes.Buffer
+				if err := db.Save(&again); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again.Bytes(), data) {
+					t.Fatalf("%s: re-saving the v5 fixture changed its bytes (%d vs %d)", name, again.Len(), len(data))
+				}
+			}
+		})
+	}
+}
+
+// TestSaveMatchesSaveSnapshot: the stream writer and the file writer
+// produce the same bytes for the same database.
+func TestSaveMatchesSaveSnapshot(t *testing.T) {
+	db, path := saveSnapshotDB(t, 120, &uvdiagram.Options{Shards: 4})
+	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "db.uvdb")
-	f, err := os.Create(path)
-	if err != nil {
+	var stream bytes.Buffer
+	if err := db.Save(&stream); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Save(f); err != nil {
+	if !bytes.Equal(stream.Bytes(), file) {
+		t.Fatalf("Save wrote %d bytes, SaveSnapshot %d, and they differ", stream.Len(), len(file))
+	}
+	if v := binary.LittleEndian.Uint32(file[4:]); v != 5 {
+		t.Fatalf("Save wrote version %d, want 5", v)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("SaveSnapshot left its temp file behind: %v", err)
+	}
+}
+
+// TestLoadCorruptSnapshot: Load of a corrupt v5 stream fails with a
+// *SnapshotError matching ErrCorruptSnapshot (TestLoadErrors covers
+// truncations). Lengths and counts that claim more bytes than the
+// stream holds fail on the first missing byte rather than sizing an
+// allocation.
+func TestLoadCorruptSnapshot(t *testing.T) {
+	db, _ := buildSmallDB(t, 120, &uvdiagram.Options{Shards: 2})
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	data := buf.Bytes()
+	metaLen := int(binary.LittleEndian.Uint64(data[8:]))
+	cases := map[string]func([]byte) []byte{
+		"truncated-pad": func(b []byte) []byte { return b[:16+metaLen+1] },
+		"meta-overrun": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8:], uint64(len(b)))
+			return b
+		},
+		"meta-huge": func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8:], 1<<31)
+			return b
+		},
+		"huge-rtree-page-count": func(b []byte) []byte {
+			// The r-tree section's page count is the last word of the
+			// metadata blob.
+			binary.LittleEndian.PutUint32(b[16+metaLen-4:], 0x7FFFFFFF)
+			return b
+		},
+		"bad-shard-grid": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[16+32:], 0xFFFFFFFF)
+			return b
+		},
+		"bad-version": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[4:], 99)
+			return b
+		},
 	}
-	opened, err := uvdiagram.Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
+	for name, mutate := range cases {
+		bad := mutate(append([]byte(nil), data...))
+		_, err := uvdiagram.Load(bytes.NewReader(bad), nil)
+		if !errors.Is(err, uvdiagram.ErrCorruptSnapshot) {
+			t.Fatalf("%s: error %v does not match ErrCorruptSnapshot", name, err)
+		}
+		var se *uvdiagram.SnapshotError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: error %v is not a *SnapshotError", name, err)
+		}
 	}
-	defer opened.Close()
-	if opened.PagerMode() != "heap" {
-		t.Fatalf("classic stream served as %q", opened.PagerMode())
-	}
-	assertEquivalentTol(t, db, opened, 17, 1e-12)
 }
 
 // TestOpenSnapshotCorrupt asserts the robustness contract: truncated or
@@ -314,6 +443,33 @@ func FuzzOpenSnapshot(f *testing.F) {
 		// A structurally valid mutation of the seed must still serve.
 		if _, _, err := db.PNN(uvdiagram.Pt(1000, 1000)); err != nil {
 			t.Logf("PNN on fuzzed-but-openable snapshot: %v", err)
+		}
+		db.Close()
+	})
+}
+
+// FuzzLoad feeds arbitrary bytes (seeded with a v5 stream and every
+// fixture, so the frozen version 1–4 decoder is fuzzed too) through
+// Load: it must return an error or a servable DB — never panic, never
+// hang, never size an allocation from an unchecked count.
+func FuzzLoad(f *testing.F) {
+	db, _ := buildSmallDB(f, 60, &uvdiagram.Options{Shards: 2})
+	var v5 bytes.Buffer
+	if err := db.Save(&v5); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v5.Bytes())
+	for _, fx := range uvdiagram.Fixtures {
+		f.Add(fx.Bytes(f))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		db, err := uvdiagram.Load(bytes.NewReader(b), nil)
+		if err != nil {
+			return
+		}
+		if _, _, err := db.PNN(uvdiagram.Pt(1000, 1000)); err != nil {
+			t.Logf("PNN on fuzzed-but-loadable stream: %v", err)
 		}
 		db.Close()
 	})

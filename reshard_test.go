@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"uvdiagram/internal/core"
 	"uvdiagram/internal/datagen"
 )
 
@@ -275,11 +274,11 @@ func TestReshardBalancesSkew(t *testing.T) {
 	}
 }
 
-// TestReshardPersistence covers the versioned layout streams: an
-// adaptively cut database round-trips through the version-4 stream
-// (cuts preserved, answers identical), an equal-strip sharded save
-// still writes the byte-compatible version 3, and a single-shard save
-// still writes version 2.
+// TestReshardPersistence covers the layout through persistence: an
+// adaptively cut database round-trips through Save/Load bitwise with
+// its cuts, and the retired writer's layout versions still load from
+// their fixtures — version 4 with its median cuts, version 3 as equal
+// strips, version 2 as a single shard.
 func TestReshardPersistence(t *testing.T) {
 	const side = 2000.0
 	cfg := datagen.Config{N: 80, Side: side, Diameter: 40, Seed: 13}
@@ -289,160 +288,161 @@ func TestReshardPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamVersion := func(buf []byte) uint32 { return binary.LittleEndian.Uint32(buf[4:8]) }
+	sameCuts := func(name string, a, b *DB) {
+		t.Helper()
+		xs1, ys1 := a.ShardCuts()
+		xs2, ys2 := b.ShardCuts()
+		if fmt.Sprint(xs1) != fmt.Sprint(xs2) || fmt.Sprint(ys1) != fmt.Sprint(ys2) {
+			t.Fatalf("%s: cuts did not round-trip: %v/%v vs %v/%v", name, xs1, ys1, xs2, ys2)
+		}
+	}
+	// samePNN compares answer ids exactly and probabilities within tol
+	// (0 = bitwise).
+	samePNN := func(name string, a, b *DB, tol float64) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(2))
+		for i := 0; i < 24; i++ {
+			q := Pt(rng.Float64()*side, rng.Float64()*side)
+			a1, _, err := a.PNN(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a2, _, err := b.PNN(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a1) != len(a2) {
+				t.Fatalf("%s: PNN(%v) diverges: %v vs %v", name, q, a1, a2)
+			}
+			for j := range a1 {
+				if a1[j].ID != a2[j].ID {
+					t.Fatalf("%s: PNN(%v) ids diverge: %v vs %v", name, q, a1, a2)
+				}
+				if d := a1[j].Prob - a2[j].Prob; d > tol || d < -tol {
+					t.Fatalf("%s: PNN(%v) probability drifted: %v vs %v", name, q, a1, a2)
+				}
+			}
+		}
+	}
 
 	var snap bytes.Buffer
 	if err := db.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if v := streamVersion(snap.Bytes()); v != 4 {
-		t.Fatalf("median-layout save wrote version %d, want 4", v)
+	if v := streamVersion(snap.Bytes()); v != dbVersionSnapshot {
+		t.Fatalf("median-layout save wrote version %d, want %d", v, dbVersionSnapshot)
 	}
 	db2, err := Load(bytes.NewReader(snap.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs1, ys1 := db.ShardCuts()
-	xs2, ys2 := db2.ShardCuts()
-	if fmt.Sprint(xs1) != fmt.Sprint(xs2) || fmt.Sprint(ys1) != fmt.Sprint(ys2) {
-		t.Fatalf("cuts did not round-trip: %v/%v vs %v/%v", xs1, ys1, xs2, ys2)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 24; i++ {
-		q := Pt(rng.Float64()*side, rng.Float64()*side)
-		a1, _, err := db.PNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, _, err := db2.PNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Answer IDs must match exactly; probabilities carry the PDF
-		// re-normalization noise every Load has (same tolerance as
-		// TestFullLifecycle).
-		if len(a1) != len(a2) {
-			t.Fatalf("PNN(%v) diverges after v4 round-trip: %v vs %v", q, a1, a2)
-		}
-		for j := range a1 {
-			if a1[j].ID != a2[j].ID {
-				t.Fatalf("PNN(%v) ids diverge after v4 round-trip: %v vs %v", q, a1, a2)
-			}
-			if d := a1[j].Prob - a2[j].Prob; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("PNN(%v) probability drifted after v4 round-trip: %v vs %v", q, a1, a2)
-			}
-		}
-	}
-
+	sameCuts("v5", db, db2)
+	samePNN("v5", db, db2, 0)
 	// Resharding a loaded database keeps working (the stream carries no
 	// strategy — Reshard re-cuts adaptively from the live centers).
 	if err := db2.Reshard(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	// Equal strips still write version 3, single shard version 2.
-	equal, err := Build(objs, cfg.Domain(), &Options{Shards: 4})
+	// The version-4 fixture holds this same median layout. Answer ids
+	// match exactly; probabilities carry the pdf re-normalization noise
+	// of the logical stream.
+	v4, err := Load(bytes.NewReader(FixtureV4.Bytes(t)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var esnap bytes.Buffer
-	if err := equal.Save(&esnap); err != nil {
+	if v := streamVersion(FixtureV4.Bytes(t)); v != dbVersionCuts {
+		t.Fatalf("v4 fixture has version %d", v)
+	}
+	sameCuts("v4", db, v4)
+	samePNN("v4", db, v4, 1e-9)
+	if err := v4.Reshard(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if v := streamVersion(esnap.Bytes()); v != 3 {
-		t.Fatalf("equal-strip save wrote version %d, want 3", v)
-	}
-	flat, err := Build(objs, cfg.Domain(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fsnap bytes.Buffer
-	if err := flat.Save(&fsnap); err != nil {
-		t.Fatal(err)
-	}
-	if v := streamVersion(fsnap.Bytes()); v != 2 {
-		t.Fatalf("single-shard save wrote version %d, want 2", v)
+
+	// Version 3 loads as equal strips, version 2 as a single shard.
+	for _, fx := range []Fixture{FixtureV3, FixtureV2} {
+		data := fx.Bytes(t)
+		if v := streamVersion(data); v != fx.Version {
+			t.Fatalf("%s: header version %d, want %d", fx.Name, v, fx.Version)
+		}
+		got, err := Load(bytes.NewReader(data), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := fx.Fresh(t)
+		if got.Shards() != fresh.Shards() {
+			t.Fatalf("%s: %d shards, want %d", fx.Name, got.Shards(), fresh.Shards())
+		}
+		sameCuts(fx.Name, fresh, got)
+		samePNN(fx.Name, fresh, got, 1e-9)
 	}
 }
 
-// TestLoadUnifiesDivergentShardRegistries simulates a pre-shared-
-// registry snapshot: shard 1's stream carries constraint sets that
-// diverged from shard 0's (as the old per-shard CompactShard
-// re-derivation produced). Load must detect the divergence and rebuild
-// that shard's leaf structure from the unified registry, so post-load
-// answers and delete bookkeeping stay exact.
+// TestLoadUnifiesDivergentShardRegistries loads pre-shared-registry
+// files (FixtureDivergent, FixtureDivergentWide): shard 1's stream
+// carries constraint sets that diverged from shard 0's, as the old
+// per-shard CompactShard re-derivation produced. Load must detect the
+// divergence and rebuild that shard's leaf structure from the unified
+// registry, so the index shape, post-load answers and delete
+// bookkeeping match a fresh build again.
 func TestLoadUnifiesDivergentShardRegistries(t *testing.T) {
 	const side = 2000.0
-	cfg := datagen.Config{N: 70, Side: side, Diameter: 40, Seed: 29}
-	objs := datagen.Uniform(cfg)
-	db, err := Build(objs, cfg.Domain(), &Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A divergent-but-valid registry copy: dropping a constraint from
-	// one object's set keeps the representation a sound superset (fewer
-	// outside regions = larger represented cell).
-	sets := make([][]int32, db.store.Len())
-	for i := range sets {
-		sets[i] = append([]int32(nil), db.cr.Of(int32(i))...)
-	}
 	victim := int32(5)
-	if len(sets[victim]) < 2 {
-		t.Fatalf("object %d has too few cr-objects (%d) to diverge", victim, len(sets[victim]))
-	}
-	sets[victim] = sets[victim][:len(sets[victim])-1]
-	lo := db.lo()
-	ix, _ := core.BuildRegion(db.store, lo.shards[1].rect, sets, db.bopts.Index)
-	lo.shards[1].epoch.Store(&indexEpoch{index: ix})
-
-	var snap bytes.Buffer
-	if err := db.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(bytes.NewReader(snap.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All shards must share one registry again after Load.
-	lo2 := db2.lo()
-	for i := range lo2.shards {
-		if lo2.shards[i].ep().index.CR() != db2.cr {
-			t.Fatalf("shard %d does not share the engine registry after Load", i)
-		}
-	}
-	// Churn through the previously divergent object's neighborhood,
-	// then compare against a reference that saw the same mutations.
-	ref, err := Build(objs, cfg.Domain(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []*DB{db2, ref} {
-		if err := d.Delete(victim); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Delete(int32(11)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 24; i++ {
-		q := Pt(rng.Float64()*side, rng.Float64()*side)
-		a1, _, err := db2.PNN(q)
+	for _, fx := range []Fixture{FixtureDivergent, FixtureDivergentWide} {
+		db2, err := Load(bytes.NewReader(fx.Bytes(t)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a2, _, err := ref.PNN(q)
-		if err != nil {
-			t.Fatal(err)
+		ref := fx.Fresh(t)
+		// The unified registry is shard 0's copy, which kept the victim's
+		// full constraint set.
+		if got, want := len(db2.cr.Of(victim)), len(ref.cr.Of(victim)); got != want {
+			t.Fatalf("%s: victim's unified cr-set has %d ids, fresh build %d", fx.Name, got, want)
 		}
-		if len(a1) != len(a2) {
-			t.Fatalf("PNN(%v) diverges after unification: %v vs %v", q, a1, a2)
-		}
-		for j := range a1 {
-			if a1[j].ID != a2[j].ID {
-				t.Fatalf("PNN(%v) ids diverge after unification: %v vs %v", q, a1, a2)
+		// All shards must share one registry again after Load.
+		lo2 := db2.lo()
+		for i := range lo2.shards {
+			if lo2.shards[i].ep().index.CR() != db2.cr {
+				t.Fatalf("%s: shard %d does not share the engine registry after Load", fx.Name, i)
 			}
-			if d := a1[j].Prob - a2[j].Prob; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("PNN(%v) probability drifted after unification: %v vs %v", q, a1, a2)
+		}
+		// Leaf lists rebuilt from the unified registry match a fresh
+		// build (the wide fixture's divergence added a leaf entry).
+		if got, want := db2.IndexStats(), ref.IndexStats(); got != want {
+			t.Fatalf("%s: index shape after Load:\n%+v\nfresh build:\n%+v", fx.Name, got, want)
+		}
+		// Churn through the previously divergent object's neighborhood,
+		// then compare against a reference that saw the same mutations.
+		for _, d := range []*DB{db2, ref} {
+			if err := d.Delete(victim); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Delete(int32(11)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(6))
+		for i := 0; i < 24; i++ {
+			q := Pt(rng.Float64()*side, rng.Float64()*side)
+			a1, _, err := db2.PNN(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a2, _, err := ref.PNN(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a1) != len(a2) {
+				t.Fatalf("%s: PNN(%v) diverges after unification: %v vs %v", fx.Name, q, a1, a2)
+			}
+			for j := range a1 {
+				if a1[j].ID != a2[j].ID {
+					t.Fatalf("%s: PNN(%v) ids diverge after unification: %v vs %v", fx.Name, q, a1, a2)
+				}
+				if d := a1[j].Prob - a2[j].Prob; d > 1e-9 || d < -1e-9 {
+					t.Fatalf("%s: PNN(%v) probability drifted after unification: %v vs %v", fx.Name, q, a1, a2)
+				}
 			}
 		}
 	}

@@ -569,7 +569,7 @@ func (db *DB) PNN(q Point) ([]Answer, QueryStats, error) {
 	if err := checkDomain(lo, db.domain, q); err != nil {
 		return nil, QueryStats{}, err
 	}
-	return lo.epFor(q).index.PNN(q)
+	return lo.epFor(q).index.PNN(q, nil, nil)
 }
 
 // mutationCounters are the DB's atomic mutation-path tallies.
